@@ -27,7 +27,7 @@ It also hosts the ``serving_leak_check`` fixture: the post-test assertion
 that nothing the serving layer spawns (non-daemon threads, child
 processes, shared-memory segments) survives a test.  It lives here so
 both the serving suite and the ingest suite (whose ingress tests drive
-the same pools and transports) wrap it in their autouse fixtures.
+the same process pools) wrap it in their autouse fixtures.
 """
 
 import faulthandler

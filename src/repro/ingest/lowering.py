@@ -42,7 +42,7 @@ flood-vs-benign structure for the packet-level scenario preset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "lower_records",
     "EventBatch",
     "EventTrafficStream",
+    "featurize_events",
 ]
 
 #: Salt mixed into every per-batch SeedSequence so event lowering never
@@ -262,13 +263,33 @@ class EventTrafficStream:
             )
 
     def __iter__(self) -> Iterator[StreamBatch]:
-        extractor = FlowFeatureExtractor(self.schema, window=self.window)
-        for event_batch in self.event_batches():
-            records = extractor.extract(event_batch.events, final=True)
-            yield StreamBatch(
-                records=records,
-                phase=event_batch.phase,
-                index=event_batch.index,
-                phase_index=event_batch.phase_index,
-                mix=event_batch.mix,
-            )
+        return featurize_events(
+            self, FlowFeatureExtractor(self.schema, window=self.window)
+        )
+
+
+def featurize_events(
+    events: Union[EventTrafficStream, Iterable[EventBatch]],
+    extractor: FlowFeatureExtractor,
+) -> Iterator[StreamBatch]:
+    """Lift a packet-event stream to ordinary stream batches.
+
+    ``events`` is an :class:`EventTrafficStream` or any iterable of
+    :class:`EventBatch`; each event batch is aggregated into feature rows
+    by ``extractor`` (every open flow drained at the batch boundary) and
+    yielded as a :class:`StreamBatch` carrying the event batch's phase
+    bookkeeping — the adapter every ``run_event_stream`` serves through.
+    """
+    batches = (
+        events.event_batches()
+        if isinstance(events, EventTrafficStream)
+        else events
+    )
+    for event_batch in batches:
+        yield StreamBatch(
+            records=extractor.extract(event_batch.events, final=True),
+            phase=event_batch.phase,
+            index=event_batch.index,
+            phase_index=event_batch.phase_index,
+            mix=event_batch.mix,
+        )

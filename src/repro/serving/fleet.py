@@ -48,7 +48,6 @@ from ..metrics.ids_metrics import DetectionReport
 from .monitor import RollingDetectionMonitor
 from .service import DetectionService, PhaseAttributor, ServiceReport
 from .sharding import ShardedDetectionService
-from .transport import normalize_transport_name
 from .workers import PoolStats, WorkerPool
 from .lifecycle.checkpoint import DetectorCheckpoint
 from .lifecycle.shadow import ShadowComparison
@@ -254,12 +253,6 @@ class FleetController:
         ``"thread"`` (:class:`~repro.serving.workers.WorkerPool`) or
         ``"process"`` (:class:`~repro.serving.procpool.ProcessWorkerPool`)
         — the pool flavour opened per shard.
-    transport:
-        Data plane for the process backend: ``"queue"`` or ``"shm"`` (see
-        :mod:`repro.serving.transport`).  Autoscale ``resize()`` grows and
-        reclaims the per-child slot rings with the children themselves, so
-        the transport choice is invisible to the control loops.  Ignored
-        by the thread backend.
     autoscale:
         The :class:`AutoscalePolicy`; ``None`` disables autoscaling.
     rollout:
@@ -284,18 +277,15 @@ class FleetController:
         rollout: Optional[RolloutPolicy] = None,
         control_interval: int = 1,
         schedule: Optional[Sequence[FleetAction]] = None,
-        transport="queue",
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         if control_interval <= 0:
             raise ValueError("control_interval must be positive")
         fleet._pool_type(worker_backend)  # fail fast on unknown backends
-        normalize_transport_name(transport)  # ... and unknown transports
         self.fleet = fleet
         self.num_workers = int(num_workers)
         self.worker_backend = worker_backend
-        self.transport = transport
         self.autoscale = autoscale
         self.rollout = rollout or RolloutPolicy()
         if not 0 <= self.rollout.canary_shard < len(fleet.shards):
@@ -403,7 +393,6 @@ class FleetController:
             self.num_workers,
             self.worker_backend,
             result_callbacks=[make_callback(i) for i in range(len(fleet.shards))],
-            transport=self.transport,
         )
 
         def log(kind: str, batch_index: int, shard: Optional[int] = None, **detail):

@@ -12,9 +12,9 @@ Division of labour:
   :class:`~repro.serving.lifecycle.DetectorCheckpoint` at startup (weights,
   buffers, preprocessor vocabularies and scaler — the restored
   ``predict(fast=True)`` is bitwise-equal to the parent's), then loops:
-  micro-batches arrive over the pool's :class:`~repro.serving.transport.Transport`
-  (pickled arrays on the queue transport, preallocated shared-memory slots
-  on the shm transport), are preprocessed and scored in the child, and the
+  micro-batches arrive in the child's preallocated shared-memory slot ring
+  (:mod:`repro.serving.transport`; only small control tokens cross the
+  per-child queues), are preprocessed and scored in the child, and the
   predicted class indices travel back with the measured scoring time and
   the batch's unknown-categorical tallies;
 * the **parent** keeps every piece of mutable serving state — the
@@ -23,27 +23,25 @@ Division of labour:
   commits results through the :class:`WorkerPool` reorder buffer, strictly
   in submission order.
 
-Because the child's detector is scoring-identical, the transport decodes
+Because the child's detector is scoring-identical, the data plane decodes
 batches string-for-string identically (see :mod:`repro.serving.transport`),
 and all accounting stays in the parent on the in-order commit path, every
 :class:`ServiceReport` produced through a process pool is
 record-for-record identical to the synchronous run — the guarantee the
-scenario suite and the tier-1 smoke assert bit for bit, on both transports.
+scenario suite and the tier-1 smoke assert bit for bit.
 
 Latency accounting: the committed :class:`BatchResult` carries the
 parent-measured round trip — dispatch to collected reply, on the service
-clock — so the transport's serialization/IPC cost is *visible* in the
-latency columns (that is the number the shm data plane is built to cut).
-The child's pure scoring time still travels back in the reply for the
-transports' result contract.
+clock — so the data plane's IPC cost is *visible* in the latency columns.
+The child's pure scoring time still travels back in the reply.
 
 Hot-swap: :meth:`ProcessWorkerPool.swap_detector` drains the in-flight
 batches, swaps the parent engine, then re-ships the challenger's checkpoint
 to every child and waits for their acknowledgements.  Per-child task queues
-are FIFO on every transport, so any batch dispatched after the swap is
-scored by the new model — the same batch-boundary semantics as the
-in-process swap, which is what keeps a drift-supervised run's counts equal
-to a drain-stop-restart run.
+are FIFO, so any batch dispatched after the swap is scored by the new
+model — the same batch-boundary semantics as the in-process swap, which is
+what keeps a drift-supervised run's counts equal to a drain-stop-restart
+run.
 
 Start method: ``"spawn"`` by default — fork would duplicate the parent's
 running threads (age timers, other pools, test watchdogs) into the child
@@ -64,10 +62,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..data.dataset import TrafficRecords
-from ..data.schema import get_schema
 from .lifecycle.checkpoint import DetectorCheckpoint
 from .service import BatchResult, CachedPreprocessor, DetectionService
-from .transport import Channel, child_endpoint, resolve_transport
+from .transport import Channel, ChildEndpoint
 from .workers import PoolStats, WorkerPool
 
 __all__ = ["ProcessWorkerPool"]
@@ -79,7 +76,7 @@ _POLL_INTERVAL = 0.1
 
 @dataclass
 class _Child:
-    """One child scoring process and its transport channel.
+    """One child scoring process and its data-plane channel.
 
     ``token`` is unique for the pool's whole lifetime — slot indices are
     reused by ``resize()`` (shrink then grow), so everything keyed per child
@@ -92,7 +89,7 @@ class _Child:
     channel: Channel = field(repr=False)
 
 
-def _worker_main(worker_id, schema_name, fast, endpoint_spec):
+def _worker_main(worker_id, fast, endpoint_spec):
     """Child-process scoring loop (module-level: spawn pickles it by name).
 
     The ``Process`` arguments stay deliberately tiny: spawn writes them to
@@ -102,17 +99,17 @@ def _worker_main(worker_id, schema_name, fast, endpoint_spec):
     the first task-queue message (queue puts run on a daemon feeder thread
     and never block the caller).
 
-    ``endpoint_spec`` rebuilds the transport's child endpoint
-    (:func:`repro.serving.transport.child_endpoint`), which normalizes
+    ``endpoint_spec`` rebuilds the channel's
+    :class:`~repro.serving.transport.ChildEndpoint`, which normalizes
     every parent message to:
 
     * ``("init", checkpoint)`` — rehydrate the serving detector (always the
       first message); a failure replies ``init-error`` and exits the child;
-    * ``("score", sequence, load)`` — ``load(schema)`` materializes the
-      :class:`TrafficRecords` (unpickled payload or decoded shm slot);
+    * ``("score", sequence, load)`` — ``load()`` materializes the
+      :class:`TrafficRecords` (decoded slot, or unpickled inline fallback);
       preprocess + predict, reply via ``send_scored`` (class indices +
-      scoring time + unknown tallies, written to the slot's result region
-      on the shm transport);
+      scoring time + unknown tallies, written to the slot's result
+      region);
     * ``("swap", checkpoint)`` — rehydrate the replacement detector, reply
       ``("swapped", worker_id, error_text_or_None)``;
     * ``("stop",)`` — exit the loop.
@@ -121,10 +118,9 @@ def _worker_main(worker_id, schema_name, fast, endpoint_spec):
     the loop alive; the parent skips the batch and surfaces the error on
     the next join/flush/close.
     """
-    schema = get_schema(schema_name)
-    endpoint = child_endpoint(endpoint_spec)
+    endpoint = ChildEndpoint(*endpoint_spec)
     try:
-        _worker_loop(endpoint, schema, fast, worker_id)
+        _worker_loop(endpoint, fast, worker_id)
     finally:
         # Release the endpoint's shm mapping before interpreter teardown:
         # live numpy exports would make SharedMemory.__del__'s mmap.close()
@@ -132,7 +128,7 @@ def _worker_main(worker_id, schema_name, fast, endpoint_spec):
         endpoint.close()
 
 
-def _worker_loop(endpoint, schema, fast, worker_id) -> None:
+def _worker_loop(endpoint, fast, worker_id) -> None:
     detector = None
     pipeline = None
     unknown_seen: Dict[str, int] = {}
@@ -161,7 +157,7 @@ def _worker_loop(endpoint, schema, fast, worker_id) -> None:
             continue
         sequence = message[1]
         try:
-            records = message[2](schema)
+            records = message[2]()
             started = time.perf_counter()
             inputs = pipeline.transform_inputs(records)
             probabilities = detector.network.predict(
@@ -186,7 +182,7 @@ class ProcessWorkerPool(WorkerPool):
 
     Drop-in for :class:`WorkerPool`::
 
-        with ProcessWorkerPool(service, num_workers=4, transport="shm") as pool:
+        with ProcessWorkerPool(service, num_workers=4) as pool:
             report = pool.run_stream(stream)
 
     Parameters
@@ -209,13 +205,11 @@ class ProcessWorkerPool(WorkerPool):
     handshake_timeout:
         Seconds to wait for child swap acknowledgements (and for stragglers
         at close) before giving up with an error.
-    transport:
-        The parent↔child data plane: ``"queue"`` (pickled per-child queues,
-        the default and equivalence oracle) or ``"shm"`` (preallocated
-        shared-memory slot rings; only control tokens cross the queues) —
-        or a ready-made :class:`~repro.serving.transport.Transport`
-        instance for custom slot sizing.  See
-        :mod:`repro.serving.transport`.
+
+    Batches travel in per-child shared-memory slot rings
+    (:mod:`repro.serving.transport`); each slot holds the service batcher's
+    ``max_batch_size`` records, capped at
+    :data:`~repro.serving.transport.SLOT_RECORDS_CAP`.
     """
 
     def __init__(
@@ -226,7 +220,6 @@ class ProcessWorkerPool(WorkerPool):
         result_callback: Optional[Callable[[BatchResult], None]] = None,
         start_method: str = "spawn",
         handshake_timeout: float = 120.0,
-        transport="queue",
     ) -> None:
         super().__init__(
             service,
@@ -241,9 +234,6 @@ class ProcessWorkerPool(WorkerPool):
             )
         self.start_method = start_method
         self.handshake_timeout = float(handshake_timeout)
-        # Resolved eagerly so an unknown transport name fails at
-        # construction, not at start() deep inside a stream run.
-        self.transport = resolve_transport(transport, service)
         self._started = False
         # Active scoring slots (dispatch routes sequence % len(_slots)) and
         # the graveyard: children retired by resize() that are still
@@ -280,8 +270,8 @@ class ProcessWorkerPool(WorkerPool):
     def _spawn_child(self, checkpoint: DetectorCheckpoint) -> None:
         """Spawn one scoring child and append it to the active slots.
 
-        The transport opens one private channel per child — one task queue
-        AND one result queue (plus, on the shm transport, one slot ring):
+        Each child gets one private channel — one task queue, one result
+        queue and one slot ring:
         no lock is ever shared between two children, so a child killed
         mid-write (OOM, operator SIGKILL) can corrupt only its own channel
         — the classic shared-queue deadlock (a victim dying between
@@ -291,15 +281,14 @@ class ProcessWorkerPool(WorkerPool):
         context = multiprocessing.get_context(self.start_method)
         token = self._next_token
         self._next_token += 1
-        channel = self.transport.open_channel(context)
+        channel = Channel(
+            context,
+            self.service.detector.schema,
+            self.service.batcher.max_batch_size,
+        )
         process = context.Process(
             target=_worker_main,
-            args=(
-                token,
-                self.service.detector.schema.name,
-                self.service.fast,
-                channel.child_spec(),
-            ),
+            args=(token, self.service.fast, channel.child_spec()),
             name=f"serving-proc-{token}",
             daemon=True,
         )
@@ -341,7 +330,7 @@ class ProcessWorkerPool(WorkerPool):
         for those results like the thread pool does.  Records still queued
         below the batch-size trigger stay in the batcher (flush() first).
         Every channel is shut down at the end — queues closed, slot
-        segments unlinked — so no transport resource outlives the pool.
+        segments unlinked — so no data-plane resource outlives the pool.
         """
         self._shutdown.set()
         self._stop_timer()
@@ -545,8 +534,8 @@ class ProcessWorkerPool(WorkerPool):
         so the drift report matches a synchronous run exactly.  ``finished``
         is stamped with the parent service's clock — the only timeline the
         throughput monitor knows — and the latency is the parent-measured
-        round trip (dispatch to collected reply, same clock), so transport
-        cost shows up in the latency columns; ``child_latency`` (the pure
+        round trip (dispatch to collected reply, same clock), so IPC cost
+        shows up in the latency columns; ``child_latency`` (the pure
         scoring time) is informational.
         """
         with self._commit_cond:
@@ -586,9 +575,9 @@ class ProcessWorkerPool(WorkerPool):
         clean retirement (its stop sentinel drained behind its last batch);
         any other exit — an active slot exiting at all, or a retiring child
         exiting non-zero — is a failure and its in-flight work is swept.
-        Either way the child is gone, so its channel's preallocated
-        resources (the shm slot ring) are reclaimed on the spot — a
-        SIGKILL'd child must not leak its segment until pool close.
+        Either way the child is gone, so its channel's slot ring is
+        reclaimed on the spot — a SIGKILL'd child must not leak its segment
+        until pool close.
         """
         with self._commit_cond:
             active = list(self._slots)
@@ -602,6 +591,9 @@ class ProcessWorkerPool(WorkerPool):
                 or child.token in self._retired_clean
             ):
                 continue
+            # Reclaim before publishing the diagnosis, so anyone who sees
+            # the child retired or failed also sees its slot ring gone.
+            child.channel.reclaim()
             with self._commit_cond:
                 stopping = self._stopping
             if (retiring or stopping) and child.process.exitcode == 0:
@@ -609,7 +601,6 @@ class ProcessWorkerPool(WorkerPool):
                 # or an active child obeyed the shutdown stop during close().
                 with self._commit_cond:
                     self._retired_clean.add(child.token)
-                child.channel.reclaim()
                 continue
             reason = (
                 f"worker process {child.token} exited unexpectedly "
@@ -624,7 +615,6 @@ class ProcessWorkerPool(WorkerPool):
                     self._swap_failures.append(reason)
                 self._commit_cond.notify_all()
             self._record_error(RuntimeError(reason))
-            child.channel.reclaim()
         # Sweep every poll, not only at diagnosis time: the sweep also has
         # to catch work routed to a dead child before its failure was known.
         with self._commit_cond:
@@ -682,7 +672,7 @@ class ProcessWorkerPool(WorkerPool):
 
         Growing spawns fresh children that rehydrate the *currently
         serving* detector from a new checkpoint (each with its own channel
-        — on the shm transport, its own slot ring).  Shrinking retires the
+        and slot ring).  Shrinking retires the
         trailing slots: each retiring child receives a stop sentinel behind
         whatever batches it already owns (per-child queues are FIFO),
         finishes them, replies and exits — nothing in flight is dropped,
@@ -772,7 +762,7 @@ class ProcessWorkerPool(WorkerPool):
     def transport_counters(self) -> Dict[str, int]:
         """Aggregate per-channel data-plane counters (slot vs inline batches)
         across every child ever owned by this pool — the number the benches
-        record to prove the shm path actually carried traffic.  Closed
+        record to prove the slot rings actually carried traffic.  Closed
         children's counters are folded into running totals at close(), so
         the numbers survive ``run_stream``."""
         with self._commit_cond:

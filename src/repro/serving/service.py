@@ -544,24 +544,10 @@ class DetectionService:
         afterwards gives the events-vs-rows and time-in-extractor
         accounting.
         """
-        from ..ingest.lowering import EventTrafficStream
+        from ..ingest import featurize_events
 
         if extractor is None:
             extractor = self.event_extractor or self.open_event_ingress()
-        batches = (
-            events.event_batches()
-            if isinstance(events, EventTrafficStream)
-            else iter(events)
+        return self.run_stream(
+            featurize_events(events, extractor), max_batches=max_batches
         )
-
-        def _aggregate() -> Iterable[StreamBatch]:
-            for event_batch in batches:
-                yield StreamBatch(
-                    records=extractor.extract(event_batch.events, final=True),
-                    phase=event_batch.phase,
-                    index=event_batch.index,
-                    phase_index=event_batch.phase_index,
-                    mix=event_batch.mix,
-                )
-
-        return self.run_stream(_aggregate(), max_batches=max_batches)

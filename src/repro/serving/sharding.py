@@ -51,7 +51,6 @@ from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from .service import BatchResult, DetectionService, PhaseAttributor, ServiceReport
-from .transport import normalize_transport_name
 from .workers import WorkerPool
 
 __all__ = ["ShardRouter", "ShardedDetectionService"]
@@ -215,16 +214,12 @@ class ShardedDetectionService:
         num_workers: int,
         worker_backend: str = "thread",
         result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
-        transport="queue",
     ) -> List[WorkerPool]:
         """Start one worker pool per shard and return them, index-aligned.
 
         The per-shard pool lifecycle seam shared by :meth:`run_stream` and
         the fleet controller: ``result_callbacks`` (index-aligned when
-        given) become each pool's in-order committed-result hook;
-        ``transport`` picks the process backend's data plane (``"queue"``
-        or ``"shm"`` — see :mod:`repro.serving.transport`; ignored by the
-        thread backend, which shares the parent's address space).  The
+        given) become each pool's in-order committed-result hook.  The
         caller owns the returned pools and must ``close()`` them.
         """
         if num_workers <= 0:
@@ -234,9 +229,6 @@ class ShardedDetectionService:
         ):
             raise ValueError("result_callbacks must be index-aligned with shards")
         pool_type = self._pool_type(worker_backend)
-        pool_kwargs = {}
-        if worker_backend == "process":
-            pool_kwargs["transport"] = transport
         return [
             pool_type(
                 shard,
@@ -244,7 +236,6 @@ class ShardedDetectionService:
                 result_callback=(
                     result_callbacks[index] if result_callbacks else None
                 ),
-                **pool_kwargs,
             ).start()
             for index, shard in enumerate(self.shards)
         ]
@@ -367,7 +358,6 @@ class ShardedDetectionService:
         max_batches: Optional[int] = None,
         num_workers: int = 0,
         worker_backend: str = "thread",
-        transport="queue",
     ) -> ServiceReport:
         """Serve a :class:`~repro.data.generator.TrafficStream` across the fleet.
 
@@ -379,12 +369,10 @@ class ShardedDetectionService:
         selects the pool flavour — ``"thread"`` for a :class:`WorkerPool`,
         ``"process"`` for a
         :class:`~repro.serving.procpool.ProcessWorkerPool` whose children
-        score the shard's batches off the GIL (``transport`` then picks its
-        data plane, ``"queue"`` or ``"shm"``).  Otherwise shards score
+        score the shard's batches off the GIL.  Otherwise shards score
         inline on the calling thread.
         """
         self._pool_type(worker_backend)  # fail fast on unknown backends
-        normalize_transport_name(transport)  # ... and unknown transports
         # Records queued on a shard before the stream belong to no phase:
         # clear them out so every attribution FIFO starts aligned with its
         # shard's batcher.
@@ -405,7 +393,6 @@ class ShardedDetectionService:
                 result_callbacks=[
                     attributor.attribute for attributor in attributors
                 ],
-                transport=transport,
             )
         try:
             served = 0
@@ -455,7 +442,6 @@ class ShardedDetectionService:
         max_batches: Optional[int] = None,
         num_workers: int = 0,
         worker_backend: str = "thread",
-        transport="queue",
     ) -> ServiceReport:
         """Serve a raw packet-event stream across the fleet.
 
@@ -467,31 +453,13 @@ class ShardedDetectionService:
         from events is record-for-record identical to sharded serving of
         the equivalent featurized stream.
         """
-        from ..ingest import FlowFeatureExtractor
-        from ..ingest.lowering import EventTrafficStream
+        from ..ingest import FlowFeatureExtractor, featurize_events
 
         if extractor is None:
             extractor = FlowFeatureExtractor(self.shards[0].pipeline.schema)
-        batches = (
-            events.event_batches()
-            if isinstance(events, EventTrafficStream)
-            else iter(events)
-        )
-
-        def _aggregate() -> Iterable[StreamBatch]:
-            for event_batch in batches:
-                yield StreamBatch(
-                    records=extractor.extract(event_batch.events, final=True),
-                    phase=event_batch.phase,
-                    index=event_batch.index,
-                    phase_index=event_batch.phase_index,
-                    mix=event_batch.mix,
-                )
-
         return self.run_stream(
-            _aggregate(),
+            featurize_events(events, extractor),
             max_batches=max_batches,
             num_workers=num_workers,
             worker_backend=worker_backend,
-            transport=transport,
         )

@@ -1,46 +1,43 @@
-"""Pluggable parent↔child data plane for the process worker pool.
+"""Shared-memory data plane of the process worker pool.
 
 :class:`~repro.serving.procpool.ProcessWorkerPool` moves scoring into child
-processes; *how* a micro-batch's arrays travel between the parent and a
-child is this module's job.  A :class:`Transport` opens one
-:class:`Channel` per child; the pool only ever speaks the channel API —
-``send_init`` / ``send_score`` / ``send_swap`` / ``send_stop`` on the way
-down, normalized ``("scored", ...)`` / ``("error", ...)`` replies on the
-way up — so the wire format is swappable without touching the pool's
-dispatch, reorder-buffer or failure semantics.
+processes; this module is how a micro-batch's arrays travel between the
+parent and a child.  The pool opens one :class:`Channel` per child, and
+the child rebuilds the other end as a :class:`ChildEndpoint` from the
+channel's picklable :meth:`Channel.child_spec`.
 
-Two implementations:
-
-* :class:`QueueTransport` — the original data path and the equivalence
-  oracle: every batch is pickled whole (numeric matrix, categorical object
-  arrays, labels) onto a per-child ``multiprocessing.Queue`` and unpickled
-  in the child.  Simple, allocation-happy, and the serialization hop that
-  caps process-pool scaling.
-* :class:`SharedMemoryTransport` — the zero-copy data plane: each child
-  gets a ring of preallocated slots in one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment, sized from
-  the dataset schema.  The parent writes the numeric matrix in place and
-  stores categorical values and labels as small integer codes into the
-  schema's fixed vocabularies; the child scores straight out of the
-  segment and writes the predicted class indices and its scoring latency
-  into the slot's result region.  Only tiny control messages — slot
-  tokens going down, acks coming back — cross the queues.
+Each child gets a ring of preallocated slots in one
+:class:`multiprocessing.shared_memory.SharedMemory` segment, sized from the
+dataset schema.  The parent writes the numeric matrix in place and stores
+categorical values and labels as small integer codes into the schema's
+fixed vocabularies; the child scores straight out of the segment and
+writes the predicted class indices and its scoring latency into the slot's
+result region.  Only tiny control messages — slot tokens going down, acks
+coming back — cross the per-child queues.
 
 Exactness: the decoded batch in the child is string-for-string identical
-to what the queue transport would deliver.  Labels are always codable
+to the parent's.  Labels are always codable
 (:class:`~repro.data.dataset.TrafficRecords` validates them against
 ``schema.classes``); a categorical value *outside* the schema vocabulary
 (vocabulary drift, the thing
 :class:`~repro.serving.service.CachedPreprocessor` counts) cannot be
 coded, so those rare values ride the control message in a per-column
 ``{row: value}`` exception map and are patched over the decoded column.
-Unknown-categorical tallies therefore match the queue transport exactly.
+Unknown-categorical tallies therefore stay exact.
 
-Fallback rules: a batch larger than the slot capacity (``flush()`` may
-emit one oversized batch) or a dispatch finding every slot busy falls
-back to the inline pickled payload on the control queue — never blocking
-dispatch, never reordering the per-child FIFO.  Fallbacks are counted on
-the channel (``inline_batches`` vs ``slot_batches``).
+Fallback: a batch travels inline — pickled whole on the control queue —
+in exactly two cases, and never blocks dispatch or reorders the per-child
+FIFO either way:
+
+* it holds more records than a slot, whose capacity is the service
+  batcher's ``max_batch_size`` capped at :data:`SLOT_RECORDS_CAP` (the
+  batcher never releases a batch above ``max_batch_size``, so only
+  services configured above the cap reach this);
+* every slot of the child's ring is busy (a backlog deeper than
+  :data:`SLOTS_PER_CHILD`).
+
+Fallbacks are counted on the channel (``inline_batches`` vs
+``slot_batches``).
 
 Cleanup: every live segment is tracked in a module-level registry
 (:func:`live_segments`), created segments carry the ``repro-slab-``
@@ -63,17 +60,30 @@ from ..data.dataset import TrafficRecords
 from ..data.schema import DatasetSchema, get_schema
 
 __all__ = [
-    "Transport",
-    "QueueTransport",
-    "SharedMemoryTransport",
-    "resolve_transport",
-    "normalize_transport_name",
+    "Channel",
+    "ChildEndpoint",
+    "SLOT_RECORDS_CAP",
+    "SLOTS_PER_CHILD",
     "live_segments",
 ]
 
 #: Prefix of every shared-memory segment this module creates — greppable in
 #: ``/dev/shm`` and matched by the leak checks.
 SEGMENT_PREFIX = "repro-slab-"
+
+#: Upper bound on one slot's record capacity.  Services may configure any
+#: ``max_batch_size`` (the lifecycle trial services use ``1 << 30`` to score
+#: each batch whole); slots are sized to the batcher up to this cap and
+#: larger batches take the inline fallback instead of mapping a segment
+#: sized for them.
+SLOT_RECORDS_CAP = 1024
+
+#: Ring depth — the per-child backlog the zero-copy path can hold before
+#: dispatch falls back inline.  A slot costs ``slot_records x (8 x n_numeric
+#: + 4 x n_categorical + 10)`` bytes (tens of KB at typical batch sizes), so
+#: the ring stays around a megabyte per child while covering the backlog a
+#: stream-paced ``run_stream`` builds up in front of a busy child.
+SLOTS_PER_CHILD = 32
 
 _registry_lock = threading.Lock()
 _live_segments: set = set()
@@ -94,36 +104,6 @@ def live_segments() -> List[str]:
     by this process (the serving tests assert this is empty after each test)."""
     with _registry_lock:
         return sorted(_live_segments)
-
-
-def normalize_transport_name(transport) -> str:
-    """Validate a transport selection early (the fail-fast seam used by
-    :class:`~repro.serving.sharding.ShardedDetectionService` and
-    :class:`~repro.serving.fleet.FleetController`)."""
-    if isinstance(transport, Transport):
-        return transport.name
-    if transport in ("queue", None):
-        return "queue"
-    if transport in ("shm", "shared-memory"):
-        return "shm"
-    raise ValueError(
-        f"unknown transport {transport!r}; choices: queue, shm "
-        "(or a Transport instance)"
-    )
-
-
-def resolve_transport(transport, service) -> "Transport":
-    """Turn a transport selection (name or instance) into a :class:`Transport`
-    sized for ``service`` (slot capacity = the batcher's ``max_batch_size``)."""
-    if isinstance(transport, Transport):
-        return transport
-    name = normalize_transport_name(transport)
-    if name == "queue":
-        return QueueTransport()
-    return SharedMemoryTransport(
-        schema=service.detector.schema,
-        slot_records=max(int(service.batcher.max_batch_size), 1),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -198,25 +178,40 @@ class _SlotViews:
 
 
 # --------------------------------------------------------------------------- #
-# Transport / Channel interfaces
+# Parent side
 # --------------------------------------------------------------------------- #
 class Channel:
-    """Parent-side endpoint of one child's data plane.
+    """Parent-side endpoint of one child's data plane: a task queue, a
+    result queue and the child's slot ring.
 
     Control flow (init/swap checkpoints, the stop sentinel) always travels
-    pickled on the per-child task queue — checkpoint shipping semantics are
-    transport-independent.  ``send_score`` is where implementations differ.
-    Replies come back normalized to the queue transport's shapes::
+    pickled on the task queue.  Replies come back normalized to::
 
         ("scored", sequence, class_indices, child_latency, unknown_delta)
         ("error", sequence, traceback_text)
         ("swapped", worker_id, error_text_or_None)
         ("init-error", worker_id, traceback_text)
 
-    so the pool's collector is wire-format-agnostic.
+    whether the batch rode a slot or the inline fallback, so the pool's
+    collector never sees the wire format.
+
+    Parameters
+    ----------
+    context:
+        The ``multiprocessing`` context the child is spawned from.
+    schema:
+        The dataset schema — fixes the numeric width, the categorical
+        vocabularies the code columns index into, and the class list the
+        label codes index into.
+    max_batch_size:
+        The service batcher's size trigger — the largest batch it releases.
+        One slot holds that many records, capped at
+        :data:`SLOT_RECORDS_CAP`.
     """
 
-    def __init__(self, context) -> None:
+    def __init__(
+        self, context, schema: DatasetSchema, max_batch_size: int
+    ) -> None:
         # One task queue AND one result queue per child: no lock is ever
         # shared between two children, so a child killed mid-write can
         # corrupt only its own queues (see ProcessWorkerPool._spawn_child).
@@ -224,6 +219,39 @@ class Channel:
         self._result_queue = context.Queue()
         self.slot_batches = 0
         self.inline_batches = 0
+        self.schema = schema
+        self.slot_records = min(int(max_batch_size), SLOT_RECORDS_CAP)
+        # Encoders: value -> schema-vocabulary index per categorical column,
+        # label -> class index.  Training vocabularies are irrelevant here —
+        # codes address the *schema's* fixed value tuples, so coding is
+        # lossless for every in-schema value.
+        self._value_codes = {
+            feature.name: {
+                value: index for index, value in enumerate(feature.values)
+            }
+            for feature in schema.categorical_features
+        }
+        self._label_codes = {
+            name: index for index, name in enumerate(schema.classes)
+        }
+        layout = _SlotLayout(schema, self.slot_records)
+        self.segment_name = SEGMENT_PREFIX + uuid.uuid4().hex[:12]
+        self._segment = shared_memory.SharedMemory(
+            name=self.segment_name,
+            create=True,
+            size=layout.slot_bytes * SLOTS_PER_CHILD,
+        )
+        _register_segment(self.segment_name)
+        self._unlinked = False
+        self._views: Optional[List[_SlotViews]] = [
+            layout.views(self._segment.buf, slot)
+            for slot in range(SLOTS_PER_CHILD)
+        ]
+        # Slots are acquired under the pool's submit lock but released from
+        # the collector thread, so the free list needs its own lock.
+        self._slot_lock = threading.Lock()
+        self._free_slots = list(range(SLOTS_PER_CHILD))
+        self._slot_sizes: Dict[int, int] = {}  # slot -> batch length
 
     # -- downstream ---------------------------------------------------- #
     def send_init(self, checkpoint) -> None:
@@ -236,7 +264,52 @@ class Channel:
         self._task_queue.put(("stop",))
 
     def send_score(self, sequence: int, records: TrafficRecords) -> None:
-        raise NotImplementedError
+        n = len(records)
+        if n > self.slot_records:
+            # Only a service whose max_batch_size exceeds the slot cap gets
+            # here; ship the batch whole rather than splitting it (splitting
+            # would change the batch structure and break bit-equality with
+            # the synchronous run).
+            self._send_inline(sequence, records)
+            return
+        with self._slot_lock:
+            slot = self._free_slots.pop() if self._free_slots else None
+        if slot is None:
+            # Every slot busy (deep in-flight backlog): never block dispatch
+            # — the caller holds the pool's submit lock.
+            self._send_inline(sequence, records)
+            return
+        views = self._views[slot]
+        views.numeric[:n] = records.numeric
+        exceptions: Dict[str, Dict[int, object]] = {}
+        for name, column in records.categorical.items():
+            get = self._value_codes[name].get
+            codes = np.fromiter(
+                (get(value, -1) for value in column), dtype=np.int32, count=n
+            )
+            views.categorical[name][:n] = codes
+            if codes.min(initial=0) < 0:
+                # Out-of-schema value (vocabulary drift): uncodable, so the
+                # *original* value object rides the control message — rare
+                # by construction, so the payload stays tiny and the child
+                # decodes exactly the parent's column.
+                rows = np.nonzero(codes < 0)[0]
+                exceptions[name] = {
+                    int(row): column[row] for row in rows
+                }
+        label_codes = self._label_codes
+        views.labels[:n] = np.fromiter(
+            # Always codable: TrafficRecords validates labels against
+            # schema.classes, so a KeyError here is a real invariant break.
+            (label_codes[label] for label in records.labels),
+            dtype=np.int16,
+            count=n,
+        )
+        self._slot_sizes[slot] = n
+        self.slot_batches += 1
+        self._task_queue.put(
+            ("score-slot", sequence, slot, n, exceptions or None)
+        )
 
     def _send_inline(self, sequence: int, records: TrafficRecords) -> None:
         self.inline_batches += 1
@@ -265,19 +338,58 @@ class Channel:
         return self._normalize(self._result_queue.get(timeout=timeout))
 
     def _normalize(self, message):
+        kind = message[0]
+        if kind == "scored-slot":
+            _, sequence, slot, unknown_delta = message
+            n = self._slot_sizes.get(slot, 0)
+            views = self._views[slot]
+            predicted = np.array(views.result[:n], dtype=np.int64)
+            latency = float(views.latency[0])
+            self._release_slot(slot)
+            return ("scored", sequence, predicted, latency, unknown_delta)
+        if kind == "error-slot":
+            _, sequence, slot, text = message
+            self._release_slot(slot)
+            return ("error", sequence, text)
         return message
+
+    def _release_slot(self, slot: int) -> None:
+        with self._slot_lock:
+            self._slot_sizes.pop(slot, None)
+            if slot not in self._free_slots:
+                self._free_slots.append(slot)
 
     # -- spawn & cleanup ----------------------------------------------- #
     def child_spec(self):
-        """Picklable spec handed to the child process; the child rebuilds
-        its endpoint with :func:`child_endpoint`."""
-        raise NotImplementedError
+        """Picklable arguments of the child's :class:`ChildEndpoint`."""
+        return (
+            self._task_queue,
+            self._result_queue,
+            self.schema.name,
+            self.segment_name,
+            self.slot_records,
+        )
 
     def reclaim(self) -> None:
-        """Release the child's preallocated resources early — called as soon
-        as the child is known gone (clean retirement or SIGKILL diagnosis),
-        before the pool itself closes.  Idempotent; must be safe while the
-        parent still drains the child's last replies."""
+        """Unlink the segment (idempotent).
+
+        Called the moment the child is known gone — cleanly retired by
+        ``resize()``, obeying the close() stop sentinel, or diagnosed dead
+        after a SIGKILL — before the pool itself closes.  Unlinking removes
+        the name system-wide while the parent's own mapping stays valid, so
+        replies still in the pipe (whose predictions live in the result
+        regions) can be drained afterwards; the memory itself is freed once
+        the last mapping closes.  A SIGKILL'd child's mapping died with it,
+        so nothing can resurrect the segment.
+        """
+        if self._unlinked:
+            return
+        self._unlinked = True
+        try:
+            self._segment.unlink()
+        except FileNotFoundError:  # already gone (e.g. another cleanup path)
+            pass
+        _unregister_segment(self.segment_name)
 
     def shutdown(self) -> None:
         """Full parent-side teardown at pool close.
@@ -292,220 +404,6 @@ class Channel:
         self._task_queue.close()
         self._result_queue.close()
         self.reclaim()
-
-
-class Transport:
-    """Factory for per-child :class:`Channel` objects."""
-
-    name = "?"
-
-    def open_channel(self, context) -> Channel:
-        raise NotImplementedError
-
-
-class QueueTransport(Transport):
-    """The pickled-queue data path (original behavior, equivalence oracle)."""
-
-    name = "queue"
-
-    def open_channel(self, context) -> "QueueChannel":
-        return QueueChannel(context)
-
-
-class QueueChannel(Channel):
-    def send_score(self, sequence: int, records: TrafficRecords) -> None:
-        self._send_inline(sequence, records)
-
-    def child_spec(self):
-        return ("queue", self._task_queue, self._result_queue)
-
-
-class SharedMemoryTransport(Transport):
-    """Per-child shared-memory slot rings; queues carry only control traffic.
-
-    Parameters
-    ----------
-    schema:
-        The dataset schema — fixes the numeric width, the categorical
-        vocabularies the code columns index into, and the class list the
-        label codes index into.
-    slot_records:
-        Record capacity of one slot.  Size it to the service batcher's
-        ``max_batch_size`` (what :func:`resolve_transport` does): the
-        batcher's size trigger caps normal batches at exactly that, and
-        the rare oversized ``flush()`` batch falls back inline.
-    slots_per_child:
-        Ring depth — the per-child backlog the zero-copy path can hold
-        before dispatch falls back inline.  A slot costs
-        ``slot_records x (8 x n_numeric + ~7)`` bytes (tens of KB at
-        typical batch sizes), so the default 32-deep ring stays around a
-        megabyte per child while covering the backlog a stream-paced
-        ``run_stream`` builds up in front of a busy child.
-    """
-
-    name = "shm"
-
-    def __init__(
-        self,
-        schema: DatasetSchema,
-        slot_records: int,
-        slots_per_child: int = 32,
-    ) -> None:
-        if slot_records <= 0:
-            raise ValueError("slot_records must be positive")
-        if slots_per_child <= 0:
-            raise ValueError("slots_per_child must be positive")
-        self.schema = schema
-        self.slot_records = int(slot_records)
-        self.slots_per_child = int(slots_per_child)
-        self.layout = _SlotLayout(schema, self.slot_records)
-        # Parent-side encoders: value -> schema-vocabulary index per
-        # categorical column, label -> class index.  Training vocabularies
-        # are irrelevant here — codes address the *schema's* fixed value
-        # tuples, so coding is lossless for every in-schema value.
-        self._value_codes = {
-            feature.name: {
-                value: index for index, value in enumerate(feature.values)
-            }
-            for feature in schema.categorical_features
-        }
-        self._label_codes = {
-            name: index for index, name in enumerate(schema.classes)
-        }
-
-    def open_channel(self, context) -> "SharedMemoryChannel":
-        return SharedMemoryChannel(context, self)
-
-
-class SharedMemoryChannel(Channel):
-    def __init__(self, context, transport: SharedMemoryTransport) -> None:
-        super().__init__(context)
-        self.transport = transport
-        layout = transport.layout
-        self.segment_name = SEGMENT_PREFIX + uuid.uuid4().hex[:12]
-        self._segment = shared_memory.SharedMemory(
-            name=self.segment_name,
-            create=True,
-            size=layout.slot_bytes * transport.slots_per_child,
-        )
-        _register_segment(self.segment_name)
-        self._unlinked = False
-        self._views: Optional[List[_SlotViews]] = [
-            layout.views(self._segment.buf, slot)
-            for slot in range(transport.slots_per_child)
-        ]
-        # Slots are acquired under the pool's submit lock but released from
-        # the collector thread, so the free list needs its own lock.
-        self._slot_lock = threading.Lock()
-        self._free_slots = list(range(transport.slots_per_child))
-        self._slot_records: Dict[int, int] = {}  # slot -> batch length
-
-    # -- downstream ---------------------------------------------------- #
-    def send_score(self, sequence: int, records: TrafficRecords) -> None:
-        n = len(records)
-        if n > self.transport.slot_records:
-            # flush() may emit one batch above max_batch_size; ship it the
-            # boring way rather than splitting (splitting would change the
-            # batch structure and break bit-equality with the sync run).
-            self._send_inline(sequence, records)
-            return
-        with self._slot_lock:
-            slot = self._free_slots.pop() if self._free_slots else None
-        if slot is None:
-            # Every slot busy (deep in-flight backlog): never block dispatch
-            # — the caller holds the pool's submit lock.
-            self._send_inline(sequence, records)
-            return
-        views = self._views[slot]
-        views.numeric[:n] = records.numeric
-        exceptions: Dict[str, Dict[int, object]] = {}
-        for name, column in records.categorical.items():
-            get = self.transport._value_codes[name].get
-            codes = np.fromiter(
-                (get(value, -1) for value in column), dtype=np.int32, count=n
-            )
-            views.categorical[name][:n] = codes
-            if codes.min(initial=0) < 0:
-                # Out-of-schema value (vocabulary drift): uncodable, so the
-                # *original* value object rides the control message — rare
-                # by construction, so the payload stays tiny and the child
-                # sees exactly what the queue transport would deliver.
-                rows = np.nonzero(codes < 0)[0]
-                exceptions[name] = {
-                    int(row): column[row] for row in rows
-                }
-        label_codes = self.transport._label_codes
-        views.labels[:n] = np.fromiter(
-            # Always codable: TrafficRecords validates labels against
-            # schema.classes, so a KeyError here is a real invariant break.
-            (label_codes[label] for label in records.labels),
-            dtype=np.int16,
-            count=n,
-        )
-        self._slot_records[slot] = n
-        self.slot_batches += 1
-        self._task_queue.put(
-            ("score-slot", sequence, slot, n, exceptions or None)
-        )
-
-    # -- upstream ------------------------------------------------------ #
-    def _normalize(self, message):
-        kind = message[0]
-        if kind == "scored-slot":
-            _, sequence, slot, unknown_delta = message
-            n = self._slot_records.get(slot, 0)
-            views = self._views[slot]
-            predicted = np.array(views.result[:n], dtype=np.int64)
-            latency = float(views.latency[0])
-            self._release_slot(slot)
-            return ("scored", sequence, predicted, latency, unknown_delta)
-        if kind == "error-slot":
-            _, sequence, slot, text = message
-            self._release_slot(slot)
-            return ("error", sequence, text)
-        return message
-
-    def _release_slot(self, slot: int) -> None:
-        with self._slot_lock:
-            self._slot_records.pop(slot, None)
-            if slot not in self._free_slots:
-                self._free_slots.append(slot)
-
-    # -- spawn & cleanup ----------------------------------------------- #
-    def child_spec(self):
-        return (
-            "shm",
-            self._task_queue,
-            self._result_queue,
-            self.transport.schema.name,
-            self.segment_name,
-            self.transport.slot_records,
-            self.transport.slots_per_child,
-        )
-
-    def reclaim(self) -> None:
-        """Unlink the segment (idempotent).
-
-        Called the moment the child is known gone — cleanly retired by
-        ``resize()``, obeying the close() stop sentinel, or diagnosed dead
-        after a SIGKILL.  Unlinking removes the name system-wide while the
-        parent's own mapping stays valid, so replies still in the pipe
-        (whose predictions live in the result regions) can be drained
-        afterwards; the memory itself is freed once the last mapping
-        closes.  A SIGKILL'd child's mapping died with it, so nothing can
-        resurrect the segment.
-        """
-        if self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # already gone (e.g. another cleanup path)
-            pass
-        _unregister_segment(self.segment_name)
-
-    def shutdown(self) -> None:
-        super().shutdown()  # cancels the feeder, closes queues, reclaims
         self._views = None  # drop the buffer exports so the mmap can close
         try:
             self._segment.close()
@@ -514,81 +412,18 @@ class SharedMemoryChannel(Channel):
 
 
 # --------------------------------------------------------------------------- #
-# Child-side endpoints
+# Child side
 # --------------------------------------------------------------------------- #
-def child_endpoint(spec):
-    """Rebuild the channel's child-side endpoint from its picklable spec."""
-    if spec[0] == "queue":
-        return _QueueChildEndpoint(spec)
-    if spec[0] == "shm":
-        return _ShmChildEndpoint(spec)
-    raise ValueError(f"unknown transport spec {spec[0]!r}")
+class ChildEndpoint:
+    """Child side of a :class:`Channel`: batches are decoded out of the slot
+    ring (or unpickled, for inline fallbacks); replies write the result
+    region in place."""
 
-
-class _QueueChildEndpoint:
-    """Child side of :class:`QueueChannel`: batches arrive pickled whole."""
-
-    def __init__(self, spec) -> None:
-        _, self._task_queue, self._result_queue = spec
-
-    def receive(self):
-        """Next parent message, with score payloads wrapped in a zero-arg
-        loader so decode errors surface inside the caller's try block::
-
-            ("score", sequence, load_records)  |  ("init", checkpoint)
-            ("swap", checkpoint)               |  ("stop",)
-        """
-        message = self._task_queue.get()
-        if message[0] != "score":
-            return message
-        return self._wrap_inline(message)
-
-    @staticmethod
-    def _wrap_inline(message):
-        _, sequence, numeric, categorical, labels = message
-
-        def load(schema):
-            return TrafficRecords(
-                schema=schema,
-                numeric=numeric,
-                categorical=categorical,
-                labels=labels,
-            )
-
-        return ("score", sequence, load)
-
-    def send_scored(self, sequence, predicted, latency, unknown_delta) -> None:
-        self._result_queue.put(
-            ("scored", sequence, predicted, latency, unknown_delta)
-        )
-
-    def send_error(self, sequence, text) -> None:
-        self._result_queue.put(("error", sequence, text))
-
-    def send_swapped(self, worker_id, error) -> None:
-        self._result_queue.put(("swapped", worker_id, error))
-
-    def send_init_error(self, worker_id, text) -> None:
-        self._result_queue.put(("init-error", worker_id, text))
-
-    def close(self) -> None:
-        """Release child-side resources before the process exits."""
-
-
-class _ShmChildEndpoint(_QueueChildEndpoint):
-    """Child side of :class:`SharedMemoryChannel`: batches are decoded out
-    of the slot ring; replies write the result region in place."""
-
-    def __init__(self, spec) -> None:
-        (
-            _,
-            self._task_queue,
-            self._result_queue,
-            schema_name,
-            segment_name,
-            slot_records,
-            slots_per_child,
-        ) = spec
+    def __init__(
+        self, task_queue, result_queue, schema_name, segment_name, slot_records
+    ) -> None:
+        self._task_queue = task_queue
+        self._result_queue = result_queue
         schema = get_schema(schema_name)
         # Attaching registers the name with the resource tracker the child
         # inherited from the parent; the tracker dedupes, so the parent's
@@ -597,7 +432,7 @@ class _ShmChildEndpoint(_QueueChildEndpoint):
         layout = _SlotLayout(schema, slot_records)
         self._views = [
             layout.views(self._segment.buf, slot)
-            for slot in range(slots_per_child)
+            for slot in range(SLOTS_PER_CHILD)
         ]
         # Decoders: vocabulary object-arrays the int32 codes index into.
         self._vocab_arrays = {
@@ -609,19 +444,31 @@ class _ShmChildEndpoint(_QueueChildEndpoint):
         self._pending_slots: Dict[int, int] = {}  # sequence -> slot
 
     def receive(self):
+        """Next parent message, with score payloads wrapped in a zero-arg
+        loader so decode errors surface inside the caller's try block::
+
+            ("score", sequence, load_records)  |  ("init", checkpoint)
+            ("swap", checkpoint)               |  ("stop",)
+        """
         message = self._task_queue.get()
         kind = message[0]
         if kind == "score":  # inline fallback: pickled payload, pickled reply
-            return self._wrap_inline(message)
+            _, sequence, numeric, categorical, labels = message
+
+            def load_inline():
+                return TrafficRecords(
+                    schema=self._schema,
+                    numeric=numeric,
+                    categorical=categorical,
+                    labels=labels,
+                )
+
+            return ("score", sequence, load_inline)
         if kind != "score-slot":
             return message
         _, sequence, slot, n, exceptions = message
         self._pending_slots[sequence] = slot
-
-        def load(schema):
-            return self._materialize(slot, n, exceptions)
-
-        return ("score", sequence, load)
+        return ("score", sequence, lambda: self._materialize(slot, n, exceptions))
 
     def _materialize(self, slot: int, n: int, exceptions) -> TrafficRecords:
         views = self._views[slot]
@@ -646,7 +493,9 @@ class _ShmChildEndpoint(_QueueChildEndpoint):
     def send_scored(self, sequence, predicted, latency, unknown_delta) -> None:
         slot = self._pending_slots.pop(sequence, None)
         if slot is None:  # inline-fallback batch: reply inline too
-            super().send_scored(sequence, predicted, latency, unknown_delta)
+            self._result_queue.put(
+                ("scored", sequence, predicted, latency, unknown_delta)
+            )
             return
         views = self._views[slot]
         n = len(predicted)
@@ -657,13 +506,22 @@ class _ShmChildEndpoint(_QueueChildEndpoint):
     def send_error(self, sequence, text) -> None:
         slot = self._pending_slots.pop(sequence, None)
         if slot is None:
-            super().send_error(sequence, text)
+            self._result_queue.put(("error", sequence, text))
             return
         self._result_queue.put(("error-slot", sequence, slot, text))
 
+    def send_swapped(self, worker_id, error) -> None:
+        self._result_queue.put(("swapped", worker_id, error))
+
+    def send_init_error(self, worker_id, text) -> None:
+        self._result_queue.put(("init-error", worker_id, text))
+
     def close(self) -> None:
-        # Drop the numpy exports first or mmap.close() raises BufferError
-        # from SharedMemory.__del__ during interpreter shutdown.
+        """Release the segment mapping before the process exits.
+
+        Drop the numpy exports first or mmap.close() raises BufferError
+        from SharedMemory.__del__ during interpreter shutdown.
+        """
         self._views = None
         try:
             self._segment.close()

@@ -3,7 +3,7 @@
 Every test here carries the ``ingest`` marker (module-level ``pytestmark``
 in each file, select with ``pytest -m ingest``) and the serving layer's
 resource-leak check — the ingress tests drive real services, worker pools and the
-shared-memory transport, and are held to the same no-leak standard as the
+shared-memory data plane, and are held to the same no-leak standard as the
 serving suite (root ``conftest.py``, ``serving_leak_check``).
 
 The ``detector`` fixture mirrors the serving suite's: fitting even a

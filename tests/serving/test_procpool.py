@@ -164,26 +164,9 @@ class TestProcessPoolBitEquality:
 
 
 class TestSharedMemoryTransport:
-    """The zero-copy data plane: slot-ring traffic must be bit-equal to the
-    queue transport (and therefore to sync), fall back inline gracefully,
-    and never leak a segment — even when its child is killed."""
-
-    def test_shm_stream_report_equals_the_synchronous_run(self, detector):
-        stream = _tiny_stream()
-        sync_report = _service(detector).run_stream(stream)
-        pool = ProcessWorkerPool(_service(detector), num_workers=2, transport="shm")
-        shm_report = pool.run_stream(stream)
-
-        assert _counts(shm_report) == _counts(sync_report)
-        assert shm_report.records == sync_report.records
-        assert shm_report.batches == sync_report.batches
-        for phase, sync_phase in sync_report.phase_reports.items():
-            shm_phase = shm_report.phase_reports[phase]
-            assert (
-                sync_phase.tp, sync_phase.tn, sync_phase.fp, sync_phase.fn
-            ) == (
-                shm_phase.tp, shm_phase.tn, shm_phase.fp, shm_phase.fn
-            ), f"{phase}: per-phase counts diverge"
+    """The zero-copy data plane: slot-ring traffic must be bit-equal to
+    sync, fall back inline gracefully, and never leak a segment — even
+    when its child is killed."""
 
     def test_batches_travel_in_slots_not_pickles(self, detector):
         """Batcher-sized batches must ride the slot ring whenever a slot is
@@ -191,7 +174,7 @@ class TestSharedMemoryTransport:
         between submissions so the ring never starves (a deeper backlog
         than the ring legitimately falls back inline — covered below)."""
         service = _service(detector)
-        pool = ProcessWorkerPool(service, num_workers=2, transport="shm")
+        pool = ProcessWorkerPool(service, num_workers=2)
         with pool:
             for stream_batch in _tiny_stream():
                 pool.submit(stream_batch.records)
@@ -213,7 +196,7 @@ class TestSharedMemoryTransport:
         sync_service = _service(detector)
         sync_service.process(drifted)
         service = _service(detector)
-        with ProcessWorkerPool(service, num_workers=2, transport="shm") as pool:
+        with ProcessWorkerPool(service, num_workers=2) as pool:
             pool.submit(drifted)
             pool.flush()
             counters = pool.transport_counters()
@@ -226,24 +209,32 @@ class TestSharedMemoryTransport:
     def test_oversized_batches_fall_back_inline_with_equal_counts(
         self, detector
     ):
-        """A transport sized below the batcher's trigger forces the inline
-        fallback on every batch — counts must not care."""
-        from repro.serving import SharedMemoryTransport
+        """Slots are capped at SLOT_RECORDS_CAP records whatever the
+        batcher allows: a service scoring batches whole (the lifecycle
+        trial services' ``1 << 30``) must serve through a pool — its
+        above-cap batches take the inline fallback and counts must not
+        care."""
+        from repro.serving.transport import SLOT_RECORDS_CAP
 
-        stream = _tiny_stream()
-        sync_report = _service(detector).run_stream(stream)
-        service = _service(detector)
-        tiny_slots = SharedMemoryTransport(detector.schema, slot_records=8)
-        pool = ProcessWorkerPool(service, num_workers=2, transport=tiny_slots)
-        with pool:
-            for stream_batch in stream:
-                pool.submit(stream_batch.records)
-            pool.flush()
-            counters = pool.transport_counters()
-        assert counters["inline_batches"] > 0
-        report = service.report()
+        stream = flood_scenario(
+            nslkdd_generator(), batch_size=256, seed=3,
+            baseline_batches=3, burst_batches=2, drift_batches=2,
+        )
+        assert stream.total_records > SLOT_RECORDS_CAP
+        whole = dict(max_batch_size=1 << 30, flush_interval=1e9)
+        sync_report = _service(detector, **whole).run_stream(stream)
+        pool = ProcessWorkerPool(_service(detector, **whole), num_workers=2)
+        report = pool.run_stream(stream)
+        assert pool.transport_counters()["inline_batches"] > 0
         assert _counts(report) == _counts(sync_report)
         assert report.records == sync_report.records
+        for phase, sync_phase in sync_report.phase_reports.items():
+            pool_phase = report.phase_reports[phase]
+            assert (
+                sync_phase.tp, sync_phase.tn, sync_phase.fp, sync_phase.fn
+            ) == (
+                pool_phase.tp, pool_phase.tn, pool_phase.fp, pool_phase.fn
+            ), f"{phase}: per-phase counts diverge"
 
     def test_a_killed_child_does_not_leak_its_segment(self, detector):
         """The resource-tracker assertion: SIGKILL a child and its slot ring
@@ -256,7 +247,7 @@ class TestSharedMemoryTransport:
 
         batches = list(_tiny_stream())
         service = _service(detector)
-        pool = ProcessWorkerPool(service, num_workers=2, transport="shm")
+        pool = ProcessWorkerPool(service, num_workers=2)
         pool.start()
         try:
             pool.submit(batches[0].records)
@@ -292,7 +283,7 @@ class TestSharedMemoryTransport:
         from repro.serving.transport import live_segments
 
         service = _service(detector)
-        with ProcessWorkerPool(service, num_workers=3, transport="shm") as pool:
+        with ProcessWorkerPool(service, num_workers=3) as pool:
             assert len(live_segments()) == 3
             retired_name = pool._slots[2].channel.segment_name
             pool.resize(1)
@@ -309,14 +300,13 @@ class TestSharedMemoryTransport:
         assert live_segments() == []
 
     def test_swap_reships_the_checkpoint_over_shm(self, detector, challenger):
-        """Hot-swap semantics are transport-independent: the checkpoint
-        still travels the control queue and the boundary still lands
-        between batches."""
+        """The checkpoint travels the control queue, not the slot ring, and
+        the swap boundary still lands between batches."""
         batches = list(_tiny_stream())
         boundary = 3
         service = _service(detector)
         results = []
-        with ProcessWorkerPool(service, num_workers=2, transport="shm") as pool:
+        with ProcessWorkerPool(service, num_workers=2) as pool:
             for index, stream_batch in enumerate(batches):
                 if index == boundary:
                     results.extend(pool.flush())
@@ -330,10 +320,6 @@ class TestSharedMemoryTransport:
             np.concatenate([r.predictions for r in results]),
             np.concatenate([r.predictions for r in baseline]),
         )
-
-    def test_unknown_transport_is_rejected(self, detector):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessWorkerPool(_service(detector), transport="carrier-pigeon")
 
 
 class TestPoolStats:

@@ -1,14 +1,13 @@
-"""Seeded equivalence fuzz for the two process-pool transports.
+"""Seeded equivalence fuzz for the process pool's shared-memory data plane.
 
 The data plane's correctness claim is that the wire format is invisible:
 the same schedule of submissions, mid-stream flushes, live resizes,
 hot-swaps and child kills must commit record-for-record identical reports
-through the queue transport, the shared-memory transport, and the
-synchronous oracle.  Each seeded schedule is pre-drawn (so all three runs
-mirror the same flush points), uses real fitted detectors (children
-rehydrate from checkpoints — stubs cannot be shipped), and injects kills
-only at drained boundaries so nothing in flight is lost and the counts
-stay exactly comparable.
+through the process pool and the synchronous oracle.  Each seeded
+schedule is pre-drawn (so both runs mirror the same flush points), uses
+real fitted detectors (children rehydrate from checkpoints — stubs cannot
+be shipped), and injects kills only at drained boundaries so nothing in
+flight is lost and the counts stay exactly comparable.
 
 Schedules are few but adversarial — every spawned child costs a fresh
 interpreter, so the budget goes into action diversity per schedule rather
@@ -55,7 +54,7 @@ def _submissions(traffic, rng):
 
 
 def _draw_actions(rng, n):
-    """One pre-drawn action per submission, shared by all three runs."""
+    """One pre-drawn action per submission, shared by both runs."""
     actions = []
     killed = False
     for _ in range(n):
@@ -74,9 +73,9 @@ def _draw_actions(rng, n):
     return actions
 
 
-def _run_pool(detector, submissions, actions, transport):
+def _run_pool(detector, submissions, actions):
     service = _service(detector)
-    pool = ProcessWorkerPool(service, num_workers=2, transport=transport)
+    pool = ProcessWorkerPool(service, num_workers=2)
     pool.start()
     errored = 0
 
@@ -124,13 +123,13 @@ def _run_pool(detector, submissions, actions, transport):
 
 
 @pytest.mark.parametrize("schedule", range(N_SCHEDULES))
-def test_transports_commit_identical_reports(detector, schedule):
-    """queue == shm == sync for every schedule, counts and drift tallies."""
+def test_pool_commits_reports_identical_to_sync(detector, schedule):
+    """pool == sync for every schedule, counts and drift tallies."""
     from repro.data import load_nslkdd
 
     rng = np.random.default_rng(7_000 + schedule)
     traffic = load_nslkdd(n_records=220, seed=31 + schedule)
-    # Salt in out-of-schema categoricals so the shm exception path (values
+    # Salt in out-of-schema categoricals so the slot exception path (values
     # that cannot be vocabulary-coded) is exercised under every action mix.
     drift_rows = rng.choice(len(traffic), size=12, replace=False)
     for row in drift_rows:
@@ -146,9 +145,6 @@ def test_transports_commit_identical_reports(detector, schedule):
     sync_service.flush()
     oracle = _report_row(sync_service)
 
-    for transport in ("queue", "shm"):
-        row = _run_pool(detector, submissions, actions, transport)
-        assert row == oracle, (
-            f"schedule {schedule}, transport {transport}: {row} != {oracle}"
-        )
+    row = _run_pool(detector, submissions, actions)
+    assert row == oracle, f"schedule {schedule}: {row} != {oracle}"
     assert live_segments() == []
